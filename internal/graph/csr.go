@@ -36,62 +36,42 @@ type CSR struct {
 
 // Freeze returns the CSR snapshot of the graph, building it on first
 // use and caching it until the next mutation (AddEdge / RemoveEdge /
-// AddVertex). After a mutation, Freeze prefers the incremental path:
-// the mutations accumulated since the last snapshot are merged into it
-// (delta.go) in time proportional to the delta and the buckets it
-// touches, rather than rebuilding and re-sorting all E edges — the
-// full rebuild only runs for the first freeze, after an alphabet
-// change, when the delta exceeds deltaMergeLimit of the base, or when
-// SetIncrementalFreeze(false) disabled merging.
+// AddVertex). The first Freeze builds the CSR from the pending edge
+// list. After that, Freeze prefers the incremental path: the delta
+// accumulated since the last snapshot is merged into it (delta.go) in
+// time proportional to the delta and the buckets it touches, rather
+// than rebuilding and re-sorting all E edges — the full rebuild (from
+// the base plus the delta) only runs after an alphabet change or when
+// the delta exceeds deltaMergeLimit of the base.
 //
 // Call Freeze after construction and before sharing the graph across
 // goroutines; the returned CSR itself is immutable and safe for
 // concurrent readers. A CSR obtained before a mutation remains valid as
-// a snapshot of the pre-mutation graph (incremental merges allocate
-// fresh arrays, never touching snapshots already handed out).
+// a snapshot of the pre-mutation graph (every build allocates fresh
+// arrays, never touching snapshots already handed out).
 func (g *Graph) Freeze() *CSR {
-	if g.csr == nil {
-		start := time.Now()
-		delta := uint64(len(g.addBuf) + len(g.delBuf))
-		merged := g.canMergeDelta()
-		switch {
-		case merged && g.singleHolder:
-			if c := g.mergeCSRInPlace(); c != nil {
-				g.csr = c
-				g.incBuilds.Add(1)
-				g.inPlaceBuilds.Add(1)
-				break
-			}
-			fallthrough // capacity shortfall or new vertices: copying merge
-		case merged:
-			g.csr = g.mergeCSR()
-			g.incBuilds.Add(1)
-		default:
-			g.csr = buildCSR(g)
-			g.fullBuilds.Add(1)
-		}
-		// The sharded snapshot consumes the same delta buffers, so it is
-		// refreshed before they are cleared (no-op unless SetShards).
-		g.freezeSharded(merged)
-		if !g.incDisabled {
-			g.csrBase = g.csr
-		}
-		g.addBuf, g.delBuf = nil, nil
-		g.deltaNewLabel = false
-		g.view = nil // an overlay view over the old base is superseded
-		ns := uint64(time.Since(start).Nanoseconds())
-		g.freezeNanos.Add(ns)
-		g.lastFreezeNanos.Store(ns)
-		g.freezeDelta.Add(delta)
-		g.lastFreezeDelta.Store(delta)
-	} else if g.shardCount > 0 && g.sharded == nil {
-		// Sharding was configured (or reconfigured) after the CSR was
-		// already frozen: partition the existing snapshot now, so that
-		// once a warmed graph is shared across goroutines every
-		// Freeze/FreezeSharded call is read-only.
-		g.freezeSharded(false)
-		g.view = nil // a cached view would miss the new partition
+	if g.csr != nil {
+		return g.csr
 	}
+	start := time.Now()
+	delta := uint64(len(g.addBuf) + len(g.delBuf))
+	if g.canMergeDelta() {
+		g.csr = g.mergeCSR()
+		g.incBuilds.Add(1)
+	} else {
+		g.csr = buildCSR(g.n, g.Alphabet(), g.liveEdges())
+		g.fullBuilds.Add(1)
+	}
+	g.csrBase = g.csr
+	g.pending, g.pendingAt = nil, nil
+	g.addBuf, g.delBuf = nil, nil
+	g.deltaNewLabel = false
+	g.view = nil // an overlay view over the old base is superseded
+	ns := uint64(time.Since(start).Nanoseconds())
+	g.freezeNanos.Add(ns)
+	g.lastFreezeNanos.Store(ns)
+	g.freezeDelta.Add(delta)
+	g.lastFreezeDelta.Store(delta)
 	return g.csr
 }
 
@@ -114,9 +94,12 @@ func (g *Graph) Snapshot() (c *CSR, acyclic bool, epoch uint64) {
 	}
 }
 
-func buildCSR(g *Graph) *CSR {
-	n := g.NumVertices()
-	c := &CSR{n: n, m: g.edges, labels: g.Alphabet()}
+// buildCSR builds an n-vertex snapshot over the given alphabet from an
+// edge list in any order: count bucket sizes, prefix-sum them into
+// offsets, scatter every edge into both sides, then sort each bucket.
+func buildCSR(n int, labels automaton.Alphabet, edges []edgeKey) *CSR {
+	m := len(edges)
+	c := &CSR{n: n, m: m, labels: labels}
 	for i := range c.labelID {
 		c.labelID[i] = -1
 	}
@@ -126,32 +109,27 @@ func buildCSR(g *Graph) *CSR {
 	L := len(c.labels)
 	c.outBucket = make([]int32, n*L+1)
 	c.inBucket = make([]int32, n*L+1)
-	for v := range g.out {
-		for _, e := range g.out[v] {
-			lid := int(c.labelID[e.Label])
-			c.outBucket[v*L+lid+1]++
-			c.inBucket[e.To*L+lid+1]++
-		}
+	for _, e := range edges {
+		lid := int(c.labelID[e.label])
+		c.outBucket[int(e.from)*L+lid+1]++
+		c.inBucket[int(e.to)*L+lid+1]++
 	}
 	for i := 1; i < len(c.outBucket); i++ {
 		c.outBucket[i] += c.outBucket[i-1]
 		c.inBucket[i] += c.inBucket[i-1]
 	}
-	pad := g.payloadPad()
-	c.outTo = make([]int32, g.edges, g.edges+pad)
-	c.inFrom = make([]int32, g.edges, g.edges+pad)
-	outNext := append([]int32(nil), c.outBucket[:len(c.outBucket)-1]...)
-	inNext := append([]int32(nil), c.inBucket[:len(c.inBucket)-1]...)
-	for v := range g.out {
-		for _, e := range g.out[v] {
-			lid := int(c.labelID[e.Label])
-			oi := v*L + lid
-			c.outTo[outNext[oi]] = int32(e.To)
-			outNext[oi]++
-			ii := e.To*L + lid
-			c.inFrom[inNext[ii]] = int32(e.From)
-			inNext[ii]++
-		}
+	c.outTo = make([]int32, m)
+	c.inFrom = make([]int32, m)
+	outNext := slices.Clone(c.outBucket[:n*L])
+	inNext := slices.Clone(c.inBucket[:n*L])
+	for _, e := range edges {
+		lid := int(c.labelID[e.label])
+		oi := int(e.from)*L + lid
+		c.outTo[outNext[oi]] = e.to
+		outNext[oi]++
+		ii := int(e.to)*L + lid
+		c.inFrom[inNext[ii]] = e.from
+		inNext[ii]++
 	}
 	// Sort bucket contents for determinism and binary-search membership.
 	for i := 0; i < n*L; i++ {

@@ -2,16 +2,24 @@ package graph
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
-// TestCSRMatchesAdjacency cross-checks every CSR accessor against the
-// slice-backed adjacency on seeded random graphs.
+// TestCSRMatchesAdjacency cross-checks every CSR accessor against
+// adjacency lists built from the edge list before the first freeze (the
+// pending list, which shares no storage with the CSR), on seeded random
+// graphs.
 func TestCSRMatchesAdjacency(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(40)
 		g := Random(n, []byte{'a', 'b', 'c'}, 0.15, seed)
+		out, in := make([][]Edge, n), make([][]Edge, n)
+		for _, e := range g.Edges() {
+			out[e.From] = append(out[e.From], e)
+			in[e.To] = append(in[e.To], e)
+		}
 		c := g.Freeze()
 		if c.NumVertices() != g.NumVertices() || c.NumEdges() != g.NumEdges() {
 			t.Fatalf("seed %d: size mismatch: csr %d/%d graph %d/%d",
@@ -21,20 +29,20 @@ func TestCSRMatchesAdjacency(t *testing.T) {
 			t.Fatalf("seed %d: alphabet mismatch %s vs %s", seed, c.Labels(), g.Alphabet())
 		}
 		for v := 0; v < n; v++ {
-			if c.OutDegree(v) != len(g.OutEdges(v)) {
-				t.Fatalf("seed %d: out-degree of %d: %d vs %d", seed, v, c.OutDegree(v), len(g.OutEdges(v)))
+			if c.OutDegree(v) != len(out[v]) {
+				t.Fatalf("seed %d: out-degree of %d: %d vs %d", seed, v, c.OutDegree(v), len(out[v]))
 			}
-			if c.InDegree(v) != len(g.InEdges(v)) {
-				t.Fatalf("seed %d: in-degree of %d: %d vs %d", seed, v, c.InDegree(v), len(g.InEdges(v)))
+			if c.InDegree(v) != len(in[v]) {
+				t.Fatalf("seed %d: in-degree of %d: %d vs %d", seed, v, c.InDegree(v), len(in[v]))
 			}
 			for _, label := range []byte{'a', 'b', 'c', 'z'} {
 				var wantOut, wantIn []int32
-				for _, e := range g.OutEdges(v) {
+				for _, e := range out[v] {
 					if e.Label == label {
 						wantOut = append(wantOut, int32(e.To))
 					}
 				}
-				for _, e := range g.InEdges(v) {
+				for _, e := range in[v] {
 					if e.Label == label {
 						wantIn = append(wantIn, int32(e.From))
 					}
@@ -134,5 +142,37 @@ func TestCSREmptyGraph(t *testing.T) {
 	}
 	if c.OutDegree(3) != 0 || c.InDegree(0) != 0 {
 		t.Fatal("empty graph degrees must be 0")
+	}
+}
+
+// TestGraphBytesPerEdge is the memory guard for the single graph
+// representation: once frozen (and partitioned), a graph holds its
+// edges once — the CSR's two int32 payloads plus its bucket offsets —
+// and nothing else. It builds a random 240k-edge graph, freezes it,
+// configures 4 shards and pins a view, then requires the live heap the
+// graph retains to stay within 20 bytes per edge.
+func TestGraphBytesPerEdge(t *testing.T) {
+	const m, n, limit = 240_000, 60_000, 20.0
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	rng := rand.New(rand.NewSource(5))
+	before := heap()
+	g := New(n)
+	for g.NumEdges() < m {
+		g.AddEdge(rng.Intn(n), "abc"[rng.Intn(3)], rng.Intn(n))
+	}
+	g.Freeze()
+	g.SetShards(4)
+	g.PinView()
+	after := heap()
+	runtime.KeepAlive(g)
+	perEdge := float64(int64(after)-int64(before)) / m
+	t.Logf("%.1f B/edge retained (%d edges, %d vertices)", perEdge, m, n)
+	if perEdge > limit {
+		t.Fatalf("graph retains %.1f B/edge, want <= %.0f", perEdge, limit)
 	}
 }

@@ -7,10 +7,11 @@ import (
 )
 
 // This file implements the incremental freeze path. Mutating a frozen
-// graph no longer discards the CSR snapshot wholesale: the last built
-// CSR is kept as a merge base and every AddEdge / RemoveEdge since is
-// recorded in a delta overlay (addBuf: edges absent from the base;
-// delBuf: tombstones for base edges). The next Freeze then produces the
+// graph does not discard the CSR snapshot: the last built CSR is kept
+// as the base and every AddEdge / RemoveEdge since is recorded in a
+// delta (addBuf: edges absent from the base; delBuf: tombstones for
+// base edges). The base plus the delta IS the graph — there is no other
+// copy of the edges. The next Freeze then produces the
 // new snapshot by MERGING the sorted delta into the base — bulk-copying
 // the untouched bucket ranges and three-way-merging only the touched
 // buckets — instead of re-scattering and re-sorting all E edges.
@@ -42,32 +43,12 @@ const (
 	deltaMergeFloor = 64
 )
 
-// SetIncrementalFreeze toggles the incremental freeze path (on by
-// default). Disabling it makes every Freeze after a mutation rebuild
-// the CSR from scratch and drops the pending delta — useful for A/B
-// benchmarking and for the equivalence tests that pin merge ≡ rebuild.
-func (g *Graph) SetIncrementalFreeze(on bool) {
-	g.incDisabled = !on
-	if !on {
-		g.csrBase = nil
-		g.addBuf, g.delBuf = nil, nil
-		g.deltaNewLabel = false
-	}
-}
-
 // FreezeStats reports how many CSR snapshots were built from scratch
 // and how many were produced by the incremental delta merge. Like
 // Epoch, it is safe to call concurrently with queries.
 func (g *Graph) FreezeStats() (full, incremental uint64) {
 	return g.fullBuilds.Load(), g.incBuilds.Load()
 }
-
-// InPlaceMerges reports how many of the incremental freezes counted by
-// FreezeStats were performed in place — mutating the previous
-// snapshot's arrays under the SetSingleHolder promise instead of
-// copying the payload into fresh ones. Safe to call concurrently with
-// queries.
-func (g *Graph) InPlaceMerges() uint64 { return g.inPlaceBuilds.Load() }
 
 // FreezeTimings reports the cumulative wall time spent building CSR
 // snapshots (full rebuilds and incremental merges alike) and the wall
@@ -86,33 +67,6 @@ func (g *Graph) FreezeDeltaEdges() (total, last uint64) {
 	return g.freezeDelta.Load(), g.lastFreezeDelta.Load()
 }
 
-// SetSingleHolder records the caller's promise that the graph itself is
-// the only holder of its CSR snapshots: no *CSR (or *ShardedCSR)
-// obtained before a mutation will ever be read after the next Freeze.
-// Under that promise an incremental freeze may merge the delta into the
-// previous snapshot's arrays IN PLACE — no payload allocation at all,
-// and data movement bounded by the span between the first and last
-// touched bucket — rather than copying all E edges into fresh arrays.
-//
-// The promise is incompatible with anything that retains snapshots
-// across mutations: rspq.Engine (which serves in-flight queries against
-// the previous snapshot) must never be pointed at a single-holder
-// graph. It is intended for single-threaded streaming embeddings that
-// interleave mutation batches with queries on one goroutine. Off by
-// default.
-func (g *Graph) SetSingleHolder(on bool) { g.singleHolder = on }
-
-// payloadPad is the spare capacity appended to freshly allocated CSR
-// payload arrays when the single-holder promise is active, so that
-// subsequent in-place merges can absorb net edge growth without
-// falling back to the copying path.
-func (g *Graph) payloadPad() int {
-	if !g.singleHolder {
-		return 0
-	}
-	return g.edges/8 + 64
-}
-
 // PendingDelta reports the size of the mutation delta accumulated since
 // the last Freeze: edges added and edges tombstoned. Both are zero on a
 // freshly frozen (or never-frozen) graph.
@@ -121,11 +75,11 @@ func (g *Graph) PendingDelta() (adds, removes int) {
 }
 
 // canMergeDelta reports whether the pending delta can be merged into
-// csrBase: the base must exist, merging must be enabled, the alphabet
-// must be unchanged (same labels ⇒ same bucket stride), and the delta
-// must be small enough relative to the base for the merge to win.
+// csrBase: the base must exist, the alphabet must be unchanged (same
+// labels ⇒ same bucket stride), and the delta must be small enough
+// relative to the base for the merge to win.
 func (g *Graph) canMergeDelta() bool {
-	if g.csrBase == nil || g.incDisabled {
+	if g.csrBase == nil {
 		return false
 	}
 	if d := len(g.addBuf) + len(g.delBuf); d > deltaMergeFloor && d > int(float64(g.csrBase.m)*deltaMergeLimit) {
@@ -153,20 +107,20 @@ type deltaEntry struct {
 // a function call per comparison, which halves the cost of pinning an
 // overlay view on streaming workloads. The packing preserves the
 // (bucket, val) order because both halves are non-negative.
-func deltaSide(edges map[Edge]struct{}, c *CSR, out bool) []deltaEntry {
+func deltaSide(edges map[edgeKey]struct{}, c *CSR, out bool) []deltaEntry {
 	if len(edges) == 0 {
 		return nil
 	}
 	L := int64(len(c.labels))
 	packed := make([]uint64, 0, len(edges))
 	for e := range edges {
-		lid := int64(c.labelID[e.Label])
+		lid := int64(c.labelID[e.label])
 		var b int64
 		var v int32
 		if out {
-			b, v = int64(e.From)*L+lid, int32(e.To)
+			b, v = int64(e.from)*L+lid, e.to
 		} else {
-			b, v = int64(e.To)*L+lid, int32(e.From)
+			b, v = int64(e.to)*L+lid, e.from
 		}
 		if b > math.MaxUint32 {
 			return deltaSideWide(edges, c, out)
@@ -183,15 +137,15 @@ func deltaSide(edges map[Edge]struct{}, c *CSR, out bool) []deltaEntry {
 
 // deltaSideWide is the unpacked fallback for bucket indexes past 32
 // bits.
-func deltaSideWide(edges map[Edge]struct{}, c *CSR, out bool) []deltaEntry {
+func deltaSideWide(edges map[edgeKey]struct{}, c *CSR, out bool) []deltaEntry {
 	L := int64(len(c.labels))
 	es := make([]deltaEntry, 0, len(edges))
 	for e := range edges {
-		lid := int64(c.labelID[e.Label])
+		lid := int64(c.labelID[e.label])
 		if out {
-			es = append(es, deltaEntry{bucket: int64(e.From)*L + lid, val: int32(e.To)})
+			es = append(es, deltaEntry{bucket: int64(e.from)*L + lid, val: e.to})
 		} else {
-			es = append(es, deltaEntry{bucket: int64(e.To)*L + lid, val: int32(e.From)})
+			es = append(es, deltaEntry{bucket: int64(e.to)*L + lid, val: e.from})
 		}
 	}
 	slices.SortFunc(es, func(a, b deltaEntry) int {
@@ -215,10 +169,10 @@ func (g *Graph) mergeCSR() *CSR {
 	L := len(c.labels)
 	c.outBucket, c.outTo = mergeSide(
 		base.outBucket, base.outTo, n*L,
-		deltaSide(g.addBuf, base, true), deltaSide(g.delBuf, base, true), g.edges, g.payloadPad())
+		deltaSide(g.addBuf, base, true), deltaSide(g.delBuf, base, true), g.edges)
 	c.inBucket, c.inFrom = mergeSide(
 		base.inBucket, base.inFrom, n*L,
-		deltaSide(g.addBuf, base, false), deltaSide(g.delBuf, base, false), g.edges, g.payloadPad())
+		deltaSide(g.addBuf, base, false), deltaSide(g.delBuf, base, false), g.edges)
 	return c
 }
 
@@ -226,11 +180,10 @@ func (g *Graph) mergeCSR() *CSR {
 // offsets for the untouched bucket ranges, and three-way-merges (base
 // minus dels, plus adds, all sorted) each touched bucket. nL is the new
 // bucket count (rows may have grown past the base), m the new edge
-// count, pad extra payload capacity to reserve (for later in-place
-// merges; see SetSingleHolder).
-func mergeSide(baseBucket, basePayload []int32, nL int, adds, dels []deltaEntry, m, pad int) ([]int32, []int32) {
+// count.
+func mergeSide(baseBucket, basePayload []int32, nL int, adds, dels []deltaEntry, m int) ([]int32, []int32) {
 	newBucket := make([]int32, nL+1)
-	newPayload := make([]int32, m, m+pad)
+	newPayload := make([]int32, m)
 	baseNL := len(baseBucket) - 1
 	dstEnd := int32(0) // payload filled so far
 	cur := 0           // next bucket to process
@@ -282,128 +235,6 @@ func mergeSide(baseBucket, basePayload []int32, nL int, adds, dels []deltaEntry,
 	}
 	copyPlain(nL)
 	return newBucket, newPayload
-}
-
-// mergeCSRInPlace is the single-holder variant of mergeCSR: instead of
-// copying the whole payload into fresh arrays, it mutates the previous
-// snapshot's arrays directly — a forward compaction pass removes the
-// tombstoned edges, a backward insertion pass splices in the added ones
-// — and returns the (updated) base CSR. It allocates nothing beyond the
-// sorted delta projections. It returns nil, deferring to the copying
-// merge, when vertices were added since the base (the bucket arrays
-// would need to grow) or when the base payload lacks capacity for the
-// net edge growth (payloadPad reserves headroom against this).
-//
-// Caller contract: canMergeDelta has held and SetSingleHolder(true) is
-// in effect, so no other holder of the base snapshot can observe the
-// mutation.
-func (g *Graph) mergeCSRInPlace() *CSR {
-	base := g.csrBase
-	if base == nil || g.NumVertices() != base.n {
-		return nil
-	}
-	if cap(base.outTo) < g.edges || cap(base.inFrom) < g.edges {
-		return nil
-	}
-	base.outTo = mergeSideInPlace(base.outBucket, base.outTo,
-		deltaSide(g.addBuf, base, true), deltaSide(g.delBuf, base, true))
-	base.inFrom = mergeSideInPlace(base.inBucket, base.inFrom,
-		deltaSide(g.addBuf, base, false), deltaSide(g.delBuf, base, false))
-	base.m = g.edges
-	return base
-}
-
-// mergeSideInPlace applies one side's sorted delta to the bucket/payload
-// arrays in place and returns the resized payload.
-func mergeSideInPlace(bucket, payload []int32, adds, dels []deltaEntry) []int32 {
-	nL := len(bucket) - 1
-
-	// Pass 1 — tombstones, forward: locate each deleted value inside its
-	// (sorted) bucket and compact the payload over it. Left-shifting with
-	// a forward walk never clobbers unread data, and nothing before the
-	// first tombstone moves at all.
-	if len(dels) > 0 {
-		write, prev := int32(-1), int32(0)
-		for _, d := range dels {
-			b := int(d.bucket)
-			span := payload[bucket[b]:bucket[b+1]]
-			lo, hi := 0, len(span)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if span[mid] < d.val {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			pos := bucket[b] + int32(lo) // d.val is present: delBuf ⊆ base
-			if write < 0 {
-				write = pos
-			} else {
-				copy(payload[write:], payload[prev:pos])
-				write += pos - prev
-			}
-			prev = pos + 1
-		}
-		copy(payload[write:], payload[prev:])
-		payload = payload[:len(payload)-len(dels)]
-		di := 0
-		for b := 0; b < nL; b++ {
-			bucket[b] -= int32(di)
-			for di < len(dels) && int(dels[di].bucket) == b {
-				di++
-			}
-		}
-		bucket[nL] -= int32(len(dels))
-	}
-
-	// Pass 2 — additions, backward: walk the touched buckets from the
-	// last to the first, shifting the untouched region after each one
-	// right by the adds still unplaced, then merging the bucket's adds
-	// in from its top. Right-shifting with a backward walk never
-	// clobbers unread data, and nothing after the last touched bucket's
-	// final position moves more than once.
-	if len(adds) > 0 {
-		end := int32(len(payload))
-		payload = payload[:len(payload)+len(adds)]
-		shift := int32(len(adds))
-		for ai := len(adds) - 1; ai >= 0; {
-			b := int(adds[ai].bucket)
-			a0 := ai
-			for a0 >= 0 && int(adds[a0].bucket) == b {
-				a0--
-			}
-			ba := adds[a0+1 : ai+1] // bucket b's adds, values ascending
-			copy(payload[bucket[b+1]+shift:end+shift], payload[bucket[b+1]:end])
-			w := bucket[b+1] + shift - 1
-			s := bucket[b+1] - 1
-			for j := len(ba) - 1; j >= 0 || s >= bucket[b]; {
-				if j < 0 || (s >= bucket[b] && payload[s] > ba[j].val) {
-					payload[w] = payload[s]
-					s--
-				} else {
-					payload[w] = ba[j].val
-					j--
-				}
-				w--
-				if j < 0 && w == s {
-					break // the rest of the bucket is already in place
-				}
-			}
-			shift -= int32(len(ba))
-			end = bucket[b]
-			ai = a0
-		}
-		ai := 0
-		for b := 0; b < nL; b++ {
-			bucket[b] += int32(ai)
-			for ai < len(adds) && int(adds[ai].bucket) == b {
-				ai++
-			}
-		}
-		bucket[nL] += int32(len(adds))
-	}
-	return payload
 }
 
 // mergeBucket writes (span \ dels) ∪ adds — all sorted ascending —

@@ -162,30 +162,52 @@ func TestDeltaFreezeLargeDeltaFallsBack(t *testing.T) {
 	}
 }
 
-// TestSetIncrementalFreeze pins the A/B switch: with merging disabled
-// every freeze is a full rebuild, and re-enabling resumes merging from
-// the next snapshot on.
-func TestSetIncrementalFreeze(t *testing.T) {
+// TestIncrementalFreezeMatchesFreshBuild pins the freeze path choice
+// and its result: the first freeze builds from the pending list, a
+// small delta within the alphabet merges, and every snapshot equals the
+// full rebuild of a fresh graph holding the same Edges().
+func TestIncrementalFreezeMatchesFreshBuild(t *testing.T) {
 	g := New(8)
 	for v := 0; v < 7; v++ {
 		g.AddEdge(v, 'a', v+1)
 	}
-	g.SetIncrementalFreeze(false)
-	g.Freeze()
+	checkAgainstRebuild(t, g, 0) // first freeze: full, from the pending list
 	g.AddEdge(7, 'a', 0)
-	g.Freeze()
-	if full, inc := g.FreezeStats(); inc != 0 || full != 2 {
-		t.Fatalf("disabled: (full=%d, inc=%d), want (2, 0)", full, inc)
-	}
-
-	g.SetIncrementalFreeze(true)
-	g.Freeze() // cached; establishes nothing new
+	checkAgainstRebuild(t, g, 1) // same alphabet: incremental
 	g.AddEdge(0, 'b', 4)
-	checkAgainstRebuild(t, g, 0) // first freeze after re-enable: full (no base yet)
+	checkAgainstRebuild(t, g, 2) // new label: full rebuild from base + delta
 	g.AddEdge(1, 'b', 5)
-	checkAgainstRebuild(t, g, 1) // second: incremental
-	if _, inc := g.FreezeStats(); inc != 1 {
-		t.Fatalf("re-enabled: want exactly 1 incremental freeze, got %d", inc)
+	g.RemoveEdge(2, 'a', 3)
+	checkAgainstRebuild(t, g, 3) // incremental again
+	if full, inc := g.FreezeStats(); full != 2 || inc != 2 {
+		t.Fatalf("FreezeStats = (full=%d, inc=%d), want (2, 2)", full, inc)
+	}
+}
+
+// TestDeltaMergeDenseChurn stresses the merge with adjacent and
+// same-bucket deletions and insertions: many edges of one source, so
+// single buckets take multiple tombstones and multiple adds at once.
+func TestDeltaMergeDenseChurn(t *testing.T) {
+	g := New(40)
+	for v := 1; v < 40; v++ {
+		g.AddEdge(0, 'a', v) // one fat bucket
+		if v%2 == 0 {
+			g.AddEdge(v, 'b', 0)
+		}
+	}
+	g.Freeze()
+	rng := rand.New(rand.NewSource(7))
+	for step := 0; step < 30; step++ {
+		for i := 0; i < 5; i++ { // churn inside the fat bucket
+			v := 1 + rng.Intn(39)
+			if !g.RemoveEdge(0, 'a', v) {
+				g.AddEdge(0, 'a', v)
+			}
+		}
+		checkAgainstRebuild(t, g, step)
+	}
+	if _, inc := g.FreezeStats(); inc == 0 {
+		t.Fatal("dense churn should have exercised the incremental merge")
 	}
 }
 

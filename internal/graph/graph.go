@@ -5,8 +5,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -24,23 +25,28 @@ type Edge struct {
 // single-byte labels. Vertices are dense integers in [0, NumVertices()).
 // The zero value is an empty graph ready to use.
 //
-// The intended lifecycle is build-then-freeze: construct with AddVertex
-// / AddEdge, then query. Derived data that a query would otherwise
-// recompute per call — the alphabet, acyclicity and the CSR snapshot
-// (see Freeze) — is cached on first use and invalidated by mutation, so
-// a warm graph answers these in O(1).
+// The graph has one representation: a frozen CSR (the base) plus the
+// add/remove delta recorded since it was built (delta.go). Every reader
+// — the kernels through a pinned View, and OutEdges / Edges / HasEdge
+// here — reads the base plus the delta. A graph that was never frozen
+// has no base yet: its edges sit in an insertion-ordered pending list
+// until the first Freeze builds the CSR from it.
 //
-// Mutating an already-frozen graph does not discard the frozen CSR:
-// mutations accumulate in a delta overlay (added edges, removed-edge
-// tombstones) against the last snapshot, and the next Freeze merges the
-// delta into it instead of rebuilding from scratch — see delta.go. Each
-// mutation still advances the Epoch, so epoch-keyed caches built on top
-// (rspq.Engine) invalidate exactly as before.
+// Derived data that a query would otherwise recompute per call — the
+// alphabet, acyclicity and the CSR snapshot (see Freeze) — is cached on
+// first use and invalidated by mutation, so a warm graph answers these
+// in O(1). Each mutation advances the Epoch, so epoch-keyed caches
+// built on top (rspq.Engine) invalidate exactly.
 type Graph struct {
-	out   [][]Edge
-	in    [][]Edge
+	n     int
 	edges int
-	names []string // optional display names, "" when unset
+	names []string // display names, grown on demand; "" when unset
+
+	// pending lists the edges of a never-frozen graph in insertion
+	// order, and pendingAt indexes it for dedup and O(1) removal. The
+	// first Freeze builds the base from the list and drops both.
+	pending   []edgeKey
+	pendingAt map[edgeKey]int32
 
 	// Lazily built caches, dropped on mutation.
 	alpha      automaton.Alphabet
@@ -53,21 +59,16 @@ type Graph struct {
 	// O(E) rescan.
 	labelCount [256]int
 
-	// Incremental-freeze state (delta.go): the CSR the pending delta is
-	// relative to, the add/remove buffers recording every edge mutation
-	// since csrBase was built, and the freeze counters. csrBase == nil
-	// means the next Freeze rebuilds from scratch. singleHolder is the
-	// caller's promise that old snapshots are never read after the next
-	// Freeze, enabling the in-place merge (SetSingleHolder).
+	// Delta state (delta.go): the base CSR the pending delta is
+	// relative to (nil until the first Freeze), the add/remove buffers
+	// recording every edge mutation since it was built, and the freeze
+	// counters.
 	csrBase       *CSR
-	addBuf        map[Edge]struct{}
-	delBuf        map[Edge]struct{}
+	addBuf        map[edgeKey]struct{}
+	delBuf        map[edgeKey]struct{}
 	deltaNewLabel bool // some buffered add carries a label absent from csrBase
-	incDisabled   bool
-	singleHolder  bool
 	fullBuilds    atomic.Uint64
 	incBuilds     atomic.Uint64
-	inPlaceBuilds atomic.Uint64
 
 	// Freeze telemetry (delta.go accessors): cumulative and
 	// most-recent build wall time, and the delta sizes (adds +
@@ -78,16 +79,13 @@ type Graph struct {
 	freezeDelta     atomic.Uint64
 	lastFreezeDelta atomic.Uint64
 
-	// Partitioned-snapshot state (shard.go): the configured shard count
-	// (0 = unsharded), the cached sharded snapshot and its merge base.
-	shardCount  int
-	sharded     *ShardedCSR
-	shardedBase *ShardedCSR
+	// shardCount is the configured row partition (shard.go; 0 =
+	// unsharded), handed to every view this graph pins.
+	shardCount int
 
 	// view is the pinned read snapshot of the current epoch (view.go),
 	// built lazily by PinView and dropped whenever it could go stale: on
-	// mutation, on a Freeze that rebuilt or re-partitioned, and on
-	// SetShards.
+	// mutation, on Freeze, and on SetShards.
 	view *View
 
 	// epoch counts mutations (see Epoch). It is atomic so long-lived
@@ -97,18 +95,26 @@ type Graph struct {
 	epoch atomic.Uint64
 }
 
+// edgeKey is the compact form of an Edge used by the pending list and
+// the delta sets: vertex ids fit int32 like the CSR's, and the 12-byte
+// key hashes faster and takes half the room of an Edge.
+type edgeKey struct {
+	from, to int32
+	label    byte
+}
+
+func (k edgeKey) edge() Edge { return Edge{From: int(k.from), Label: k.label, To: int(k.to)} }
+
 // invalidate drops the caches a mutation may falsify and advances the
 // mutation epoch. The acyclicity verdict is NOT dropped here — each
 // mutator keeps it when the mutation provably cannot flip it (see
 // AddEdge / RemoveEdge / AddVertex), so acyclicity is revalidated
 // incrementally only when a delta could actually create or break a
-// cycle. The last frozen CSR survives as the merge base for the next
-// incremental Freeze.
+// cycle. The base CSR survives: the delta is recorded against it.
 func (g *Graph) invalidate() {
 	g.alpha = nil
 	g.alphaValid = false
 	g.csr = nil
-	g.sharded = nil
 	g.view = nil
 	g.epoch.Add(1)
 }
@@ -123,35 +129,27 @@ func (g *Graph) invalidate() {
 func (g *Graph) Epoch() uint64 { return g.epoch.Load() }
 
 // New returns a graph with n isolated vertices.
-func New(n int) *Graph {
-	return &Graph{
-		out:   make([][]Edge, n),
-		in:    make([][]Edge, n),
-		names: make([]string, n),
-	}
-}
+func New(n int) *Graph { return &Graph{n: n} }
 
 // NumVertices returns the number of vertices.
-func (g *Graph) NumVertices() int { return len(g.out) }
+func (g *Graph) NumVertices() int { return g.n }
 
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return g.edges }
 
 // AddVertex appends an isolated vertex and returns its id. An isolated
 // vertex can neither create nor break a cycle, so the cached acyclicity
-// verdict survives; the CSR delta overlay records only the row-count
-// growth.
+// verdict survives; the delta records only the row-count growth.
 func (g *Graph) AddVertex() int {
 	g.invalidate()
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	g.names = append(g.names, "")
-	return len(g.out) - 1
+	g.n++
+	return g.n - 1
 }
 
 // AddNamedVertex appends a vertex carrying a display name.
 func (g *Graph) AddNamedVertex(name string) int {
 	v := g.AddVertex()
+	g.names = append(g.names, make([]string, v+1-len(g.names))...)
 	g.names[v] = name
 	return v
 }
@@ -159,32 +157,75 @@ func (g *Graph) AddNamedVertex(name string) int {
 // Name returns the display name of v (its id rendered in decimal when no
 // name was assigned).
 func (g *Graph) Name(v int) string {
-	if g.names[v] != "" {
+	if v < len(g.names) && g.names[v] != "" {
 		return g.names[v]
 	}
 	return fmt.Sprintf("v%d", v)
 }
 
+// inRange reports whether both endpoints name existing vertices.
+func (g *Graph) inRange(from, to int) bool {
+	return from >= 0 && from < g.n && to >= 0 && to < g.n
+}
+
+// has reports whether the edge is present: in the pending list of a
+// never-frozen graph, else in the base (binary search) and not
+// tombstoned, or in the add buffer.
+func (g *Graph) has(k edgeKey) bool {
+	if g.csrBase == nil {
+		_, ok := g.pendingAt[k]
+		return ok
+	}
+	if _, ok := g.addBuf[k]; ok {
+		return true
+	}
+	if _, ok := g.delBuf[k]; ok {
+		return false
+	}
+	return int(k.from) < g.csrBase.n && g.csrBase.HasEdge(int(k.from), k.label, int(k.to))
+}
+
 // AddEdge inserts the labeled edge (from, label, to). Parallel edges with
 // different labels are allowed; inserting the exact same edge twice is a
-// no-op, matching the set semantics E ⊆ V×Σ×V of the paper.
+// no-op, matching the set semantics E ⊆ V×Σ×V of the paper. It panics
+// when an endpoint is not a vertex.
 //
-// On a frozen graph the insertion is recorded in the delta overlay, so
-// the next Freeze merges it into the existing CSR instead of rebuilding
-// (see delta.go). The cached acyclicity verdict is kept when it cannot
+// On a frozen graph the insertion is recorded in the delta, so the
+// next Freeze merges it into the base instead of rebuilding (see
+// delta.go). The cached acyclicity verdict is kept when it cannot
 // change: an edge added to a cyclic graph leaves it cyclic, and a
 // self-loop makes any graph cyclic; only an acyclic graph gaining a
 // non-loop edge needs revalidation (deferred to the next IsAcyclic).
 func (g *Graph) AddEdge(from int, label byte, to int) {
-	for _, e := range g.out[from] {
-		if e.Label == label && e.To == to {
-			return
-		}
+	if !g.inRange(from, to) {
+		panic(fmt.Sprintf("graph: AddEdge(%d, %q, %d) outside [0, %d)", from, label, to, g.n))
+	}
+	k := edgeKey{from: int32(from), to: int32(to), label: label}
+	if g.has(k) {
+		return
 	}
 	g.invalidate()
-	e := Edge{From: from, Label: label, To: to}
-	g.out[from] = append(g.out[from], e)
-	g.in[to] = append(g.in[to], e)
+	switch {
+	case g.csrBase == nil:
+		if g.pendingAt == nil {
+			g.pendingAt = make(map[edgeKey]int32)
+		}
+		g.pendingAt[k] = int32(len(g.pending))
+		g.pending = append(g.pending, k)
+	case deleteKey(g.delBuf, k):
+		// re-adding a tombstoned base edge
+	default:
+		if g.addBuf == nil {
+			g.addBuf = make(map[edgeKey]struct{})
+		}
+		g.addBuf[k] = struct{}{}
+		if g.csrBase.labelID[label] < 0 {
+			// Sticky until the next freeze resets the delta: pinning
+			// an overlay view checks this flag instead of rescanning
+			// the whole add buffer for out-of-alphabet labels.
+			g.deltaNewLabel = true
+		}
+	}
 	g.edges++
 	g.labelCount[label]++
 	switch {
@@ -193,22 +234,6 @@ func (g *Graph) AddEdge(from int, label byte, to int) {
 	case g.acyclic == 1:
 		g.acyclic = 0
 	}
-	if g.csrBase != nil {
-		if _, ok := g.delBuf[e]; ok {
-			delete(g.delBuf, e) // re-adding a tombstoned base edge
-		} else {
-			if g.addBuf == nil {
-				g.addBuf = make(map[Edge]struct{})
-			}
-			g.addBuf[e] = struct{}{}
-			if g.csrBase.labelID[label] < 0 {
-				// Sticky until the next freeze resets the delta: pinning
-				// an overlay view checks this flag instead of rescanning
-				// the whole add buffer for out-of-alphabet labels.
-				g.deltaNewLabel = true
-			}
-		}
-	}
 }
 
 // RemoveEdge deletes the labeled edge (from, label, to) and reports
@@ -216,24 +241,18 @@ func (g *Graph) AddEdge(from int, label byte, to int) {
 // out-of-range endpoints) is a no-op returning false, and does not
 // advance the epoch.
 //
-// On a frozen graph the removal is recorded as a tombstone in the delta
-// overlay, so the next Freeze merges it into the existing CSR instead
-// of rebuilding (see delta.go). The cached acyclicity verdict is kept
+// On a frozen graph the removal is recorded as a tombstone in the
+// delta, so the next Freeze merges it into the base instead of
+// rebuilding (see delta.go). The cached acyclicity verdict is kept
 // when it cannot change: removing an edge from an acyclic graph leaves
 // it acyclic; only a cyclic graph losing an edge needs revalidation
 // (deferred to the next IsAcyclic).
 func (g *Graph) RemoveEdge(from int, label byte, to int) bool {
-	if from < 0 || from >= len(g.out) || to < 0 || to >= len(g.out) {
+	if !g.inRange(from, to) {
 		return false
 	}
-	oi := -1
-	for i, e := range g.out[from] {
-		if e.Label == label && e.To == to {
-			oi = i
-			break
-		}
-	}
-	if oi < 0 {
+	k := edgeKey{from: int32(from), to: int32(to), label: label}
+	if !g.has(k) {
 		// Absent edge: bail out before the delta bookkeeping below, so a
 		// removal that cannot cancel anything never records a tombstone —
 		// delBuf stays a subset of the base (the merge and overlay paths
@@ -241,29 +260,38 @@ func (g *Graph) RemoveEdge(from int, label byte, to int) bool {
 		return false
 	}
 	g.invalidate()
-	g.out[from] = append(g.out[from][:oi], g.out[from][oi+1:]...)
-	for i, e := range g.in[to] {
-		if e.Label == label && e.From == from {
-			g.in[to] = append(g.in[to][:i], g.in[to][i+1:]...)
-			break
+	switch {
+	case g.csrBase == nil:
+		// Swap-remove: the list order only feeds the first build, which
+		// sorts every bucket anyway.
+		i := g.pendingAt[k]
+		last := g.pending[len(g.pending)-1]
+		g.pending[i] = last
+		g.pendingAt[last] = i
+		g.pending = g.pending[:len(g.pending)-1]
+		delete(g.pendingAt, k)
+	case deleteKey(g.addBuf, k):
+		// the edge never made it into the base
+	default:
+		if g.delBuf == nil {
+			g.delBuf = make(map[edgeKey]struct{})
 		}
+		g.delBuf[k] = struct{}{}
 	}
 	g.edges--
 	g.labelCount[label]--
 	if g.acyclic == 2 {
 		g.acyclic = 0
 	}
-	if g.csrBase != nil {
-		e := Edge{From: from, Label: label, To: to}
-		if _, ok := g.addBuf[e]; ok {
-			delete(g.addBuf, e) // the edge never made it into the base
-		} else {
-			if g.delBuf == nil {
-				g.delBuf = make(map[Edge]struct{})
-			}
-			g.delBuf[e] = struct{}{}
-		}
+	return true
+}
+
+// deleteKey deletes k from set and reports whether it was there.
+func deleteKey(set map[edgeKey]struct{}, k edgeKey) bool {
+	if _, ok := set[k]; !ok {
+		return false
 	}
+	delete(set, k)
 	return true
 }
 
@@ -290,22 +318,38 @@ func (g *Graph) AddWordEdge(from int, w string, to int) ([]int, error) {
 	return mids, nil
 }
 
-// OutEdges returns the edges leaving v. The returned slice must not be
-// modified.
-func (g *Graph) OutEdges(v int) []Edge { return g.out[v] }
-
-// InEdges returns the edges entering v. The returned slice must not be
-// modified.
-func (g *Graph) InEdges(v int) []Edge { return g.in[v] }
-
-// HasEdge reports whether the exact edge exists.
-func (g *Graph) HasEdge(from int, label byte, to int) bool {
-	for _, e := range g.out[from] {
-		if e.Label == label && e.To == to {
-			return true
+// OutEdges returns the edges leaving v, ordered by label then target.
+// It reads the pinned view (freezing a never-frozen graph first) and
+// returns a fresh slice.
+func (g *Graph) OutEdges(v int) []Edge {
+	vw := g.PinView()
+	var es []Edge
+	for lid := 0; lid < vw.NumLabels(); lid++ {
+		for _, to := range vw.OutWithID(v, lid) {
+			es = append(es, Edge{From: v, Label: vw.Label(lid), To: int(to)})
 		}
 	}
-	return false
+	return es
+}
+
+// InEdges returns the edges entering v, ordered by label then source.
+// It reads the pinned view (freezing a never-frozen graph first) and
+// returns a fresh slice.
+func (g *Graph) InEdges(v int) []Edge {
+	vw := g.PinView()
+	var es []Edge
+	for lid := 0; lid < vw.NumLabels(); lid++ {
+		for _, from := range vw.InWithID(v, lid) {
+			es = append(es, Edge{From: int(from), Label: vw.Label(lid), To: v})
+		}
+	}
+	return es
+}
+
+// HasEdge reports whether the exact edge exists; an endpoint that is
+// not a vertex makes it false.
+func (g *Graph) HasEdge(from int, label byte, to int) bool {
+	return g.inRange(from, to) && g.has(edgeKey{from: int32(from), to: int32(to), label: label})
 }
 
 // Alphabet returns the set of labels used by the graph's edges. The
@@ -328,22 +372,53 @@ func (g *Graph) Alphabet() automaton.Alphabet {
 	return g.alpha
 }
 
-// Edges returns all edges in deterministic order.
+// Edges returns all edges in deterministic order: by source, then
+// target, then label.
 func (g *Graph) Edges() []Edge {
-	var out []Edge
-	for v := range g.out {
-		out = append(out, g.out[v]...)
+	ks := g.liveEdges()
+	out := make([]Edge, len(ks))
+	for i, k := range ks {
+		out[i] = k.edge()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+	slices.SortFunc(out, func(a, b Edge) int {
+		if a.From != b.From {
+			return cmp.Compare(a.From, b.From)
 		}
-		if out[i].To != out[j].To {
-			return out[i].To < out[j].To
+		if a.To != b.To {
+			return cmp.Compare(a.To, b.To)
 		}
-		return out[i].Label < out[j].Label
+		return cmp.Compare(a.Label, b.Label)
 	})
 	return out
+}
+
+// liveEdges lists the current edge set in no particular order: the
+// pending list of a never-frozen graph (aliased, not copied), else the
+// base minus its tombstones plus the added edges.
+func (g *Graph) liveEdges() []edgeKey {
+	base := g.csrBase
+	if base == nil {
+		return g.pending
+	}
+	es := make([]edgeKey, 0, g.edges)
+	L := len(base.labels)
+	for v := 0; v < base.n; v++ {
+		for lid := 0; lid < L; lid++ {
+			for _, to := range base.OutWithID(v, lid) {
+				k := edgeKey{from: int32(v), to: to, label: base.labels[lid]}
+				if len(g.delBuf) > 0 {
+					if _, gone := g.delBuf[k]; gone {
+						continue
+					}
+				}
+				es = append(es, k)
+			}
+		}
+	}
+	for k := range g.addBuf {
+		es = append(es, k)
+	}
+	return es
 }
 
 // IsAcyclic reports whether the graph is a DAG (ignoring labels). The
@@ -358,7 +433,7 @@ func (g *Graph) IsAcyclic() bool {
 	if g.acyclic != 0 {
 		return g.acyclic == 1
 	}
-	acyclic := g.isAcyclicUncached()
+	acyclic := len(g.TopoOrder()) == g.n
 	if acyclic {
 		g.acyclic = 1
 	} else {
@@ -367,60 +442,30 @@ func (g *Graph) IsAcyclic() bool {
 	return acyclic
 }
 
-func (g *Graph) isAcyclicUncached() bool {
-	n := g.NumVertices()
-	indeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		for _, e := range g.out[v] {
-			indeg[e.To]++
-		}
-	}
-	var queue []int
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		seen++
-		for _, e := range g.out[v] {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return seen == n
-}
-
 // TopoOrder returns a topological order of a DAG, or nil if the graph has
-// a cycle.
+// a cycle. It reads the pinned view (Kahn's algorithm over the base plus
+// the delta).
 func (g *Graph) TopoOrder() []int {
-	n := g.NumVertices()
+	vw := g.PinView()
+	n, L := vw.NumVertices(), vw.NumLabels()
 	indeg := make([]int, n)
-	for v := 0; v < n; v++ {
-		for _, e := range g.out[v] {
-			indeg[e.To]++
-		}
-	}
 	var queue []int
 	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
+		if indeg[v] = vw.InDegree(v); indeg[v] == 0 {
 			queue = append(queue, v)
 		}
 	}
-	var order []int
+	order := make([]int, 0, n)
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
 		order = append(order, v)
-		for _, e := range g.out[v] {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
+		for lid := 0; lid < L; lid++ {
+			for _, to := range vw.OutWithID(v, lid) {
+				indeg[to]--
+				if indeg[to] == 0 {
+					queue = append(queue, int(to))
+				}
 			}
 		}
 	}

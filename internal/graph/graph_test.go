@@ -16,8 +16,31 @@ func TestGraphBasics(t *testing.T) {
 	if g.NumVertices() != 3 || g.NumEdges() != 3 {
 		t.Fatalf("n=%d m=%d, want 3/3", g.NumVertices(), g.NumEdges())
 	}
-	if !g.HasEdge(0, 'a', 1) || g.HasEdge(0, 'c', 1) {
-		t.Error("HasEdge wrong")
+	for _, c := range []struct {
+		from     int
+		label    byte
+		to       int
+		want     bool
+		frozenAt bool // freeze before asking: base + delta path
+	}{
+		{0, 'a', 1, true, false},
+		{0, 'c', 1, false, false},
+		{3, 'a', 1, false, false}, // missing source vertex
+		{-1, 'a', 1, false, false},
+		{0, 'a', 7, false, false}, // missing target vertex
+		{0, 'b', 1, true, true},
+		{9, 'b', 1, false, true},
+		{1, 'b', -2, false, true},
+	} {
+		if c.frozenAt {
+			g.Freeze()
+		}
+		if got := g.HasEdge(c.from, c.label, c.to); got != c.want {
+			t.Errorf("HasEdge(%d, %c, %d) = %v, want %v", c.from, c.label, c.to, got, c.want)
+		}
+	}
+	if (&Path{Vertices: []int{0, 1, 5}, Labels: []byte("ab")}).ValidIn(g) {
+		t.Error("a path naming a missing vertex must not be valid")
 	}
 	if len(g.OutEdges(0)) != 2 || len(g.InEdges(1)) != 2 {
 		t.Error("adjacency wrong")

@@ -2,62 +2,50 @@ package graph
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 )
 
-// checkShardedEqualsCSR asserts the sharded snapshot is exactly the
-// monolithic CSR cut at the partition boundaries: same counts and
-// alphabet, every (row, label) bucket identical on both sides, rows
-// covered exactly once.
-func checkShardedEqualsCSR(t *testing.T, g *Graph, wantK int) {
+// checkPartition asserts the pinned view's partition has K shards whose
+// row ranges tile [0, n) in order, that ShardOf agrees with the ranges,
+// and that the per-shard edge counts are the rows' out-degrees and sum
+// to the edge count.
+func checkPartition(t *testing.T, g *Graph, wantK int) {
 	t.Helper()
-	c := g.Freeze()
-	sc := g.FreezeSharded()
-	if sc == nil {
-		t.Fatalf("FreezeSharded returned nil with %d shards configured", wantK)
+	vw := g.PinView()
+	pt := vw.Partition()
+	if pt.NumShards() != wantK {
+		t.Fatalf("NumShards = %d, want %d", pt.NumShards(), wantK)
 	}
-	if sc.NumShards() != wantK {
-		t.Fatalf("NumShards = %d, want %d", sc.NumShards(), wantK)
-	}
-	if sc.NumVertices() != c.NumVertices() || sc.NumEdges() != c.NumEdges() {
-		t.Fatalf("sharded (n=%d, m=%d) vs CSR (n=%d, m=%d)",
-			sc.NumVertices(), sc.NumEdges(), c.NumVertices(), c.NumEdges())
-	}
-	if !slices.Equal(sc.Labels(), c.Labels()) {
-		t.Fatalf("sharded labels %q vs CSR %q", sc.Labels(), c.Labels())
-	}
-	covered := 0
-	edges := 0
-	for s := 0; s < sc.NumShards(); s++ {
-		sh := sc.Shard(s)
-		covered += sh.Hi() - sh.Lo()
-		edges += sc.ShardEdges(s)
-		for v := sh.Lo(); v < sh.Hi(); v++ {
-			if got := sc.ShardOf(v); got != s {
+	next, edges := 0, 0
+	for s := 0; s < pt.NumShards(); s++ {
+		lo, hi := pt.Bounds(s)
+		if lo != next || hi < lo {
+			t.Fatalf("shard %d covers [%d, %d), want it to start at %d", s, lo, hi, next)
+		}
+		next = hi
+		deg := 0
+		for v := lo; v < hi; v++ {
+			if got := pt.ShardOf(v); got != s {
 				t.Fatalf("ShardOf(%d) = %d, want %d", v, got, s)
 			}
-			for lid := 0; lid < c.NumLabels(); lid++ {
-				if got, want := sh.OutWithID(v, lid), c.OutWithID(v, lid); !slices.Equal(got, want) {
-					t.Fatalf("shard %d OutWithID(%d, %d) = %v, want %v", s, v, lid, got, want)
-				}
-				if got, want := sh.InWithID(v, lid), c.InWithID(v, lid); !slices.Equal(got, want) {
-					t.Fatalf("shard %d InWithID(%d, %d) = %v, want %v", s, v, lid, got, want)
-				}
-			}
+			deg += vw.OutDegree(v)
 		}
+		if got := vw.OutDegreeRange(lo, hi); got != deg {
+			t.Fatalf("shard %d: OutDegreeRange = %d, out-degrees sum to %d", s, got, deg)
+		}
+		edges += deg
 	}
-	if covered != c.NumVertices() {
-		t.Fatalf("shards cover %d rows, want %d", covered, c.NumVertices())
+	if wantK > 0 && next != vw.NumVertices() {
+		t.Fatalf("shards cover [0, %d), want [0, %d)", next, vw.NumVertices())
 	}
-	if edges != c.NumEdges() {
-		t.Fatalf("ShardEdges sums to %d, want %d", edges, c.NumEdges())
+	if wantK > 0 && edges != g.NumEdges() {
+		t.Fatalf("shard edges sum to %d, want %d", edges, g.NumEdges())
 	}
 }
 
-// TestShardedSplitEquivalence pins the from-scratch split across shard
-// counts, graph sizes (including empty, single-vertex and K > n), and
-// alphabet shapes.
+// TestShardedSplitEquivalence pins the row partition of a frozen graph
+// across shard counts, graph sizes (including empty, single-vertex and
+// K > n), and alphabet shapes.
 func TestShardedSplitEquivalence(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 40} {
 		for _, k := range []int{1, 2, 3, 8, 64} {
@@ -66,17 +54,17 @@ func TestShardedSplitEquivalence(t *testing.T) {
 				g.AddEdge(0, 'a', n-1) // guarantee at least one edge
 			}
 			g.SetShards(k)
-			checkShardedEqualsCSR(t, g, k)
+			checkPartition(t, g, k)
 		}
 	}
 }
 
 // TestShardedDeltaMergeEquivalence drives the randomized mutate /
-// refreeze loop with sharding configured and asserts, after every
-// freeze, that the per-shard delta merge produced exactly the split of
-// the monolithic snapshot (which delta_test.go separately pins against
-// a from-scratch rebuild). Vertex growth and alphabet changes exercise
-// the fallback to a fresh split.
+// refreeze loop with sharding configured and asserts, on overlay views
+// and after every freeze, that the partition tiles the current vertex
+// set — including vertices added after the base was frozen, which an
+// overlay view now keeps inside the last shard — and that the view
+// reads the same rows as a rebuild.
 func TestShardedDeltaMergeEquivalence(t *testing.T) {
 	labels := []byte{'a', 'b', 'c'}
 	for seed := int64(0); seed < 10; seed++ {
@@ -87,7 +75,7 @@ func TestShardedDeltaMergeEquivalence(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			g.AddEdge(rng.Intn(g.NumVertices()), labels[rng.Intn(len(labels))], rng.Intn(g.NumVertices()))
 		}
-		checkShardedEqualsCSR(t, g, k)
+		checkPartition(t, g, k)
 		live := g.Edges()
 		for step := 0; step < 80; step++ {
 			switch op := rng.Intn(10); {
@@ -104,60 +92,61 @@ func TestShardedDeltaMergeEquivalence(t *testing.T) {
 					live = append(live[:i], live[i+1:]...)
 				}
 			case op < 9:
-				g.AddVertex() // partition boundaries move: fresh split
+				g.AddVertex() // partition boundaries move
 			default:
-				checkShardedEqualsCSR(t, g, k)
+				checkPartition(t, g, k)
+				checkViewAgainstCSR(t, g.PinView(), rebuildOracle(g))
+				g.Freeze()
+				checkPartition(t, g, k)
 			}
 		}
-		checkShardedEqualsCSR(t, g, k)
+		checkPartition(t, g, k)
 		g.AddEdge(0, 'z', g.NumVertices()-1) // alphabet change: full rebuild
-		checkShardedEqualsCSR(t, g, k)
+		checkPartition(t, g, k)
 	}
 }
 
 // TestSetShards pins the configuration semantics: unsharded by default,
-// reconfiguration drops the cached partition, and disabling returns
-// nil.
+// reconfiguration re-pins the partition, and disabling returns to K = 0.
 func TestSetShards(t *testing.T) {
 	g := New(10)
 	for v := 0; v < 9; v++ {
 		g.AddEdge(v, 'a', v+1)
 	}
-	if g.FreezeSharded() != nil {
-		t.Fatal("unconfigured graph must have no sharded snapshot")
-	}
+	checkPartition(t, g, 0)
 	g.SetShards(4)
 	if g.ShardCount() != 4 {
 		t.Fatalf("ShardCount = %d, want 4", g.ShardCount())
 	}
-	checkShardedEqualsCSR(t, g, 4)
-	g.SetShards(2) // reconfigure: next freeze re-partitions
-	checkShardedEqualsCSR(t, g, 2)
+	checkPartition(t, g, 4)
+	g.SetShards(2)
+	checkPartition(t, g, 2)
 	g.SetShards(0)
-	if g.FreezeSharded() != nil {
-		t.Fatal("SetShards(0) must disable the sharded snapshot")
-	}
+	checkPartition(t, g, 0)
 }
 
-// TestShardedSnapshotImmutable pins that a sharded snapshot handed out
-// before a mutation is untouched by the refreeze (the merge allocates
-// fresh shards).
+// TestShardedSnapshotImmutable pins that a view pinned before a
+// mutation keeps its partition and its rows after the refreeze.
 func TestShardedSnapshotImmutable(t *testing.T) {
 	g := New(8)
 	for v := 0; v < 7; v++ {
 		g.AddEdge(v, 'a', v+1)
 	}
 	g.SetShards(3)
-	old := g.FreezeSharded()
-	oldOut := slices.Clone(old.Shard(0).OutWithID(0, 0))
+	old := g.PinView()
+	oldOut := append([]int32(nil), old.OutWithID(0, 0)...)
 	g.AddEdge(0, 'a', 5)
 	g.RemoveEdge(0, 'a', 1)
-	sc := g.FreezeSharded()
-	if sc == old {
-		t.Fatal("refreeze must produce a fresh sharded snapshot")
+	g.AddVertex()
+	g.Freeze()
+	if old.Partition() != newPartition(8, 3) {
+		t.Fatalf("pinned partition changed to %+v", old.Partition())
 	}
-	if !slices.Equal(old.Shard(0).OutWithID(0, 0), oldOut) {
-		t.Fatal("pre-mutation sharded snapshot was mutated by the merge")
+	if !equalInt32(old.OutWithID(0, 0), oldOut) {
+		t.Fatal("pre-mutation view was mutated by the refreeze")
 	}
-	checkShardedEqualsCSR(t, g, 3)
+	if g.PinView().Partition() != newPartition(9, 3) {
+		t.Fatalf("new view partition %+v, want it over 9 rows", g.PinView().Partition())
+	}
+	checkPartition(t, g, 3)
 }

@@ -125,54 +125,21 @@ func CSRFromParts(p CSRParts) (*CSR, error) {
 
 // FromCSR reconstructs a mutable Graph from a decoded CSR snapshot,
 // restoring the mutation epoch the snapshot was taken at. The CSR is
-// installed as the graph's frozen base, so the first query after a warm
-// boot pays no Freeze; the adjacency lists mutations operate on are
-// rebuilt from the CSR's buckets in one O(V·L + E) pass — no dup
-// checks, no re-sort. The CSR is adopted as-is and must not be shared
-// with another graph; its arrays may alias a read-only file mapping
-// (the incremental freeze always allocates fresh arrays, so the mapping
-// is never written — but SetSingleHolder(true), whose in-place merge
-// would write to it, must not be combined with a mapped snapshot).
+// installed as the graph's frozen base — it is the graph, so adoption
+// copies no edges and the first query after a warm boot pays no
+// Freeze; only the per-label edge counts are recounted, in one O(V·L)
+// pass over the bucket offsets. The CSR is adopted as-is and must not
+// be shared with another graph; its arrays may alias a read-only file
+// mapping (every later build allocates fresh arrays, so the mapping is
+// never written).
 func FromCSR(c *CSR, epoch uint64) *Graph {
-	n := c.n
-	g := New(n)
+	g := &Graph{n: c.n, edges: c.m, csr: c, csrBase: c}
 	L := len(c.labels)
-	// All adjacency rows are carved out of two contiguous arenas rather
-	// than allocated per vertex: adoption of a large snapshot is
-	// allocation-bound, and this keeps it at O(1) allocations. The
-	// three-index slices pin each row's capacity to its arena region, so
-	// a later AddEdge on a full row reallocates that row instead of
-	// growing into its neighbor.
-	outArena := make([]Edge, 0, c.m)
-	inArena := make([]Edge, 0, c.m)
-	for v := 0; v < n; v++ {
-		outStart, inStart := len(outArena), len(inArena)
+	for v := 0; v < c.n; v++ {
 		for lid := 0; lid < L; lid++ {
-			label := c.labels[lid]
-			for _, to := range c.outTo[c.outBucket[v*L+lid]:c.outBucket[v*L+lid+1]] {
-				outArena = append(outArena, Edge{From: v, Label: label, To: int(to)})
-			}
-			for _, from := range c.inFrom[c.inBucket[v*L+lid]:c.inBucket[v*L+lid+1]] {
-				inArena = append(inArena, Edge{From: int(from), Label: label, To: v})
-			}
-		}
-		if end := len(outArena); end > outStart {
-			g.out[v] = outArena[outStart:end:end]
-		}
-		if end := len(inArena); end > inStart {
-			g.in[v] = inArena[inStart:end:end]
+			g.labelCount[c.labels[lid]] += int(c.outBucket[v*L+lid+1] - c.outBucket[v*L+lid])
 		}
 	}
-	for lid := 0; lid < L; lid++ {
-		count := 0
-		for v := 0; v < n; v++ {
-			count += int(c.outBucket[v*L+lid+1] - c.outBucket[v*L+lid])
-		}
-		g.labelCount[c.labels[lid]] = count
-	}
-	g.edges = c.m
-	g.csr = c
-	g.csrBase = c
 	g.epoch.Store(epoch)
 	return g
 }
@@ -200,32 +167,8 @@ func (g *Graph) SetAcyclicVerdict(acyclic bool) {
 
 // EdgeSetEqual reports whether two graphs describe the same vertex
 // count and edge set — the equality the crash-recovery suites assert
-// between a recovered graph and an in-memory oracle. It compares the
-// out-adjacency multisets order-insensitively.
+// between a recovered graph and an in-memory oracle.
 func EdgeSetEqual(a, b *Graph) bool {
-	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
-		return false
-	}
-	cmp := func(x, y Edge) int {
-		if x.From != y.From {
-			return x.From - y.From
-		}
-		if x.Label != y.Label {
-			return int(x.Label) - int(y.Label)
-		}
-		return x.To - y.To
-	}
-	for v := 0; v < a.NumVertices(); v++ {
-		ea := slices.Clone(a.out[v])
-		eb := slices.Clone(b.out[v])
-		if len(ea) != len(eb) {
-			return false
-		}
-		slices.SortFunc(ea, cmp)
-		slices.SortFunc(eb, cmp)
-		if !slices.Equal(ea, eb) {
-			return false
-		}
-	}
-	return true
+	return a.NumVertices() == b.NumVertices() && a.NumEdges() == b.NumEdges() &&
+		slices.Equal(a.Edges(), b.Edges())
 }

@@ -224,9 +224,9 @@ func TestViewImmutableAcrossCompaction(t *testing.T) {
 	}
 }
 
-// TestViewShardedOverlay pins the partitioned regime: the overlay view
-// keeps the sharded base usable, and the shard accessors see overlay
-// edges exactly like the monolithic ones.
+// TestViewShardedOverlay pins the partitioned regime: an overlay view
+// carries the row partition over its own vertex count, so vertices the
+// delta added stay inside the last shard.
 func TestViewShardedOverlay(t *testing.T) {
 	g := Random(48, []byte{'a', 'b', 'c'}, 0.1, 19)
 	g.SetShards(4)
@@ -243,49 +243,25 @@ func TestViewShardedOverlay(t *testing.T) {
 	if !vw.Overlay() {
 		t.Fatal("expected an overlay view")
 	}
-	sc := vw.Sharded()
-	if sc == nil {
-		t.Fatal("overlay over an unchanged vertex set must keep the partition")
+	pt := vw.Partition()
+	if pt.NumShards() != 4 {
+		t.Fatalf("overlay view partition has %d shards, want 4", pt.NumShards())
 	}
 	checkViewAgainstCSR(t, vw, rebuildOracle(g))
-	for s := 0; s < sc.NumShards(); s++ {
-		sh := sc.Shard(s)
-		for v := sh.Lo(); v < sh.Hi(); v++ {
-			for lid := 0; lid < sc.NumLabels(); lid++ {
-				if !equalInt32(vw.ShardOutWithID(sh, v, lid), vw.OutWithID(v, lid)) {
-					t.Fatalf("shard %d v=%d lid=%d: out disagrees with the view", s, v, lid)
-				}
-				if !equalInt32(vw.ShardInWithID(sh, v, lid), vw.InWithID(v, lid)) {
-					t.Fatalf("shard %d v=%d lid=%d: in disagrees with the view", s, v, lid)
-				}
-			}
-		}
-	}
 
-	// Growing the vertex set past the partition must drop to sequential
-	// (nil Sharded) but stay correct.
+	// Growing the vertex set moves the partition with it: the new
+	// vertex lands in the last shard and the view stays correct.
 	u := g.AddVertex()
 	g.AddEdge(u, 'a', 0)
 	vw2 := g.PinView()
-	if vw2.Sharded() != nil {
-		t.Fatal("a view over new vertices must not expose the stale partition")
+	if !vw2.Overlay() {
+		t.Fatal("expected an overlay view over the grown vertex set")
+	}
+	pt2 := vw2.Partition()
+	if _, hi := pt2.Bounds(pt2.NumShards() - 1); hi != u+1 || pt2.ShardOf(u) != pt2.NumShards()-1 {
+		t.Fatalf("partition %+v does not cover new vertex %d", pt2, u)
 	}
 	checkViewAgainstCSR(t, vw2, rebuildOracle(g))
-}
-
-// TestViewSingleHolderFallsBack pins the aliasing hazard: under the
-// single-holder promise Freeze may merge in place, mutating the arrays
-// a pinned overlay would alias — so overlays are disabled there.
-func TestViewSingleHolderFallsBack(t *testing.T) {
-	g := Random(20, []byte{'a', 'b'}, 0.15, 29)
-	g.SetSingleHolder(true)
-	g.Freeze()
-	g.AddEdge(1, 'a', 2)
-	vw := g.PinView()
-	if vw.Overlay() {
-		t.Fatal("single-holder graphs must not serve overlay views")
-	}
-	checkViewAgainstCSR(t, vw, rebuildOracle(g))
 }
 
 // TestRemoveEdgeAbsentLeavesNoTombstone is the regression test for the

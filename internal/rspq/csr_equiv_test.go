@@ -10,22 +10,34 @@ import (
 )
 
 // This suite cross-validates the CSR-backed engine against slice-backed
-// reference implementations that walk g.OutEdges directly, and against
+// reference implementations that walk an adjacency list built from the
+// graph's edge list before its first freeze (refAdjacency), and against
 // exhaustive simple-path enumeration, on seeded random graphs covering
 // all three trichotomy tiers. It is the safety net for the
 // frozen-graph/arena rewrite: any divergence between the optimized
 // product searches and the naive adjacency-list semantics fails here.
 
+// refAdjacency lists g's out-edges per vertex from g.Edges(). Called
+// before the first freeze, it reads the pending edge list, so the
+// references below share no storage with the CSR under test.
+func refAdjacency(g *graph.Graph) [][]graph.Edge {
+	adj := make([][]graph.Edge, g.NumVertices())
+	for _, e := range g.Edges() {
+		adj[e.From] = append(adj[e.From], e)
+	}
+	return adj
+}
+
 // refExistsSimplePath enumerates simple paths by unpruned backtracking
 // over the slice adjacency — exponential, ground truth for small n.
-func refExistsSimplePath(g *graph.Graph, d *automaton.DFA, x, y int) bool {
-	visited := make([]bool, g.NumVertices())
+func refExistsSimplePath(adj [][]graph.Edge, d *automaton.DFA, x, y int) bool {
+	visited := make([]bool, len(adj))
 	var dfs func(v, q int) bool
 	dfs = func(v, q int) bool {
 		if v == y && d.Accept[q] {
 			return true
 		}
-		for _, e := range g.OutEdges(v) {
+		for _, e := range adj[v] {
 			t, ok := d.StepOK(q, e.Label)
 			if !ok || visited[e.To] {
 				continue
@@ -44,9 +56,9 @@ func refExistsSimplePath(g *graph.Graph, d *automaton.DFA, x, y int) bool {
 
 // refShortestWalkLen is the slice-backed product BFS: the length of a
 // shortest L-labeled walk from x to y, or -1.
-func refShortestWalkLen(g *graph.Graph, d *automaton.DFA, x, y int) int {
+func refShortestWalkLen(adj [][]graph.Edge, d *automaton.DFA, x, y int) int {
 	m := d.NumStates
-	dist := make([]int, g.NumVertices()*m)
+	dist := make([]int, len(adj)*m)
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -59,7 +71,7 @@ func refShortestWalkLen(g *graph.Graph, d *automaton.DFA, x, y int) int {
 		if v == y && d.Accept[q] {
 			return dist[id]
 		}
-		for _, e := range g.OutEdges(v) {
+		for _, e := range adj[v] {
 			t, ok := d.StepOK(q, e.Label)
 			if !ok {
 				continue
@@ -96,10 +108,11 @@ func TestCSREquivalenceRandomGraphs(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed * 7919))
 				n := 4 + rng.Intn(7)
 				g := graph.Random(n, []byte{'a', 'b', 'c'}, 0.22, seed)
+				adj := refAdjacency(g)
 				s.Warm(g)
 				for trial := 0; trial < 6; trial++ {
 					x, y := rng.Intn(n), rng.Intn(n)
-					want := refExistsSimplePath(g, s.Min, x, y)
+					want := refExistsSimplePath(adj, s.Min, x, y)
 					ctx := fmt.Sprintf("seed=%d n=%d x=%d y=%d", seed, n, x, y)
 
 					// Dispatcher (CSR-backed), twice: the second call runs
@@ -142,7 +155,7 @@ func TestCSREquivalenceRandomGraphs(t *testing.T) {
 					}
 
 					// Walk semantics against the slice-backed product BFS.
-					wantWalk := refShortestWalkLen(g, s.Min, x, y)
+					wantWalk := refShortestWalkLen(adj, s.Min, x, y)
 					walk := ShortestWalk(g, s.Min, x, y)
 					switch {
 					case wantWalk < 0 && walk != nil:
@@ -174,9 +187,10 @@ func TestCSREquivalenceColorCoding(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed + 100))
 		n := 4 + rng.Intn(5)
 		g := graph.Random(n, []byte{'a', 'b'}, 0.25, seed)
+		adj := refAdjacency(g)
 		for trial := 0; trial < 4; trial++ {
 			x, y := rng.Intn(n), rng.Intn(n)
-			want := refExistsSimplePath(g, s.Min, x, y)
+			want := refExistsSimplePath(adj, s.Min, x, y)
 			res := ColorCoding(g, s.Min, x, y, n-1, ColorCodingOptions{Seed: 42, Trials: 300})
 			if res.Found != want {
 				t.Fatalf("seed=%d x=%d y=%d: ColorCoding=%v want %v", seed, x, y, res.Found, want)
@@ -198,10 +212,11 @@ func TestCSREquivalenceDAG(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		dag := graph.LayeredDAG(5, 4, 3, []byte{'a', 'b'}, seed)
 		n := dag.NumVertices()
+		adj := refAdjacency(dag)
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 8; trial++ {
 			x, y := rng.Intn(n), rng.Intn(n)
-			want := refExistsSimplePath(dag, s.Min, x, y)
+			want := refExistsSimplePath(adj, s.Min, x, y)
 			res, ok := DAG(dag, s.Min, x, y)
 			if !ok {
 				t.Fatal("LayeredDAG must be acyclic")

@@ -20,9 +20,9 @@ import "sync/atomic"
 // The classic switch heuristic compares the two estimates: go bottom-up
 // when the frontier's edge count exceeds 1/α of the unvisited edge
 // count, return to top-down when the frontier shrinks below 1/β of the
-// id space. Both estimates are maintained incrementally from O(1)
-// degree prefix-sum lookups (graph.CSR / graph.CSRShard OutDegree and
-// InDegree) as states are discovered.
+// id space. Both estimates are maintained incrementally from
+// graph.View OutDegree and InDegree lookups (O(1) bucket prefix sums on
+// clean rows) as states are discovered.
 //
 // Correctness of the bottom-up rounds rests on the synchronous level
 // structure: before round r, exactly the states at distance < r are

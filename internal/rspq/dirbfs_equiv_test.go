@@ -122,7 +122,7 @@ func TestDirectionBitEquivalence(t *testing.T) {
 				// require equivalence again on the merged snapshots.
 				labels := g.Freeze().Labels()
 				g.SetShards(2)
-				g.FreezeSharded()
+				g.Freeze()
 				for i := 0; i < 6; i++ {
 					u, v := rng.Intn(g.NumVertices()), rng.Intn(g.NumVertices())
 					l := labels[rng.Intn(len(labels))]

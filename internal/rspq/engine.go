@@ -317,10 +317,7 @@ type engineSnap struct {
 
 // shards returns the partition size for cache keys (0 = unsharded).
 func (s *engineSnap) shards() uint16 {
-	if sc := s.vw.Sharded(); sc != nil {
-		return uint16(sc.NumShards())
-	}
-	return 0
+	return uint16(s.vw.Partition().NumShards())
 }
 
 // Engine is a long-lived serving engine for one (language, graph)
@@ -600,12 +597,12 @@ func (e *Engine) Stats() EngineStats {
 	if snap != nil {
 		st.Epoch = snap.epoch
 		st.Algorithm = snap.algo.String()
-		if sc := snap.vw.Sharded(); sc != nil {
-			st.Shards = sc.NumShards()
+		if pt := snap.vw.Partition(); pt.NumShards() > 0 {
+			st.Shards = pt.NumShards()
 			st.ShardsAdaptive = e.adaptive
-			st.ShardEdges = make([]int, sc.NumShards())
+			st.ShardEdges = make([]int, pt.NumShards())
 			for s := range st.ShardEdges {
-				st.ShardEdges[s] = sc.ShardEdges(s)
+				st.ShardEdges[s] = snap.vw.OutDegreeRange(pt.Bounds(s))
 			}
 		}
 	}

@@ -122,7 +122,7 @@ func TestOverlayEquivalence(t *testing.T) {
 							if !vw.Overlay() {
 								t.Fatalf("%s: small same-alphabet delta must pin an overlay view", label)
 							}
-							if k > 0 && vw.Sharded() == nil {
+							if vw.Partition().NumShards() != k {
 								t.Fatalf("%s: overlay must keep the partition", label)
 							}
 						}

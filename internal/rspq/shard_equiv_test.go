@@ -59,8 +59,8 @@ func unshardedAnswers(s *Solver, g *graph.Graph, pairs []Pair) ([]Result, []bool
 func checkShardedAgainst(t *testing.T, s *Solver, g *graph.Graph, k int, pairs []Pair, want []Result, wantEx []bool) {
 	t.Helper()
 	g.SetShards(k)
-	if g.FreezeSharded() == nil {
-		t.Fatalf("K=%d: sharded snapshot missing", k)
+	if got := g.PinView().Partition().NumShards(); got != k {
+		t.Fatalf("K=%d: view partition has %d shards", k, got)
 	}
 	for i, pq := range pairs {
 		got := s.Solve(g, pq.X, pq.Y)
@@ -135,11 +135,10 @@ func TestShardedEquivalence(t *testing.T) {
 				}
 
 				// One mutation epoch: flip a few random edges (keeping the
-				// alphabet stable so the refreeze merges per shard), then
-				// require equivalence again on the merged snapshots.
+				// alphabet stable so the refreeze merges), then require
+				// equivalence again on the merged snapshots.
 				labels := g.Freeze().Labels()
 				g.SetShards(3)
-				g.FreezeSharded() // establish a sharded merge base
 				for i := 0; i < 8; i++ {
 					u, v := rng.Intn(g.NumVertices()), rng.Intn(g.NumVertices())
 					l := labels[rng.Intn(len(labels))]
@@ -203,8 +202,8 @@ func TestShardedConcurrentLazyPartition(t *testing.T) {
 	s.Warm(g)      // graph frozen unsharded
 	g.SetShards(4) // partition configured after the fact
 	bs := NewBatchSolver(s, g).SetWorkers(4)
-	if g.FreezeSharded() == nil {
-		t.Fatal("NewBatchSolver's Warm must have built the partition")
+	if g.PinView().Partition().NumShards() != 4 {
+		t.Fatal("NewBatchSolver's Warm must have pinned the partition")
 	}
 	pairs := make([]Pair, 64)
 	rng := rand.New(rand.NewSource(2))

@@ -10,9 +10,9 @@ import (
 
 // TestEngineOverlaySoak is the randomized interleaved mutate/query soak
 // of the view refactor, designed to run under -race: a mutator applies
-// edge deltas to the engine's graph AND to a mirror graph that has
-// incremental freezing disabled (every mirror snapshot is a full
-// rebuild — the oracle), a compactor occasionally merges the engine's
+// edge deltas to the engine's graph and replaces the oracle mirror with
+// a fresh graph built from the engine graph's Edges() (every mirror
+// snapshot is a full rebuild), a compactor occasionally merges the engine's
 // delta away mid-stream, and query workers require every engine answer
 // to match the oracle's at the same pinned generation. The RWMutex
 // discipline is cmd/rspqd's: mutations and compactions under the write
@@ -21,14 +21,12 @@ func TestEngineOverlaySoak(t *testing.T) {
 	const n = 80
 	labels := []byte{'a', 'b', 'c'}
 	g := graph.New(n)
-	mirror := graph.New(n)
-	mirror.SetIncrementalFreeze(false) // oracle: full rebuild per generation
 	rng := rand.New(rand.NewSource(61))
 	for i := 0; i < 4*n; i++ {
-		from, label, to := rng.Intn(n), labels[rng.Intn(len(labels))], rng.Intn(n)
-		g.AddEdge(from, label, to)
-		mirror.AddEdge(from, label, to)
+		g.AddEdge(rng.Intn(n), labels[rng.Intn(len(labels))], rng.Intn(n))
 	}
+	mirror := rebuiltOracle(g) // oracle: a fresh full build per generation
+	generations := 1
 	s, err := NewSolver("a*(bb+|())c*") // summary tier: the deepest kernel stack
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +39,7 @@ func TestEngineOverlaySoak(t *testing.T) {
 	var background sync.WaitGroup
 
 	background.Add(1)
-	go func() { // mutator: keep engine graph and oracle mirror identical
+	go func() { // mutator: mutate the engine graph, then rebuild the oracle
 		defer background.Done()
 		mrng := rand.New(rand.NewSource(67))
 		for {
@@ -53,13 +51,12 @@ func TestEngineOverlaySoak(t *testing.T) {
 			mu.Lock()
 			for k := 0; k < 3; k++ {
 				from, label, to := mrng.Intn(n), labels[mrng.Intn(len(labels))], mrng.Intn(n)
-				if g.RemoveEdge(from, label, to) {
-					mirror.RemoveEdge(from, label, to)
-				} else {
+				if !g.RemoveEdge(from, label, to) {
 					g.AddEdge(from, label, to)
-					mirror.AddEdge(from, label, to)
 				}
 			}
+			mirror = rebuiltOracle(g)
+			generations++
 			// Warm the oracle inside the lock so concurrent readers never
 			// race its lazy rebuild.
 			s.Warm(mirror)
@@ -114,12 +111,12 @@ func TestEngineOverlaySoak(t *testing.T) {
 	close(stop)
 	background.Wait()
 
-	// The oracle path must really have been the full-rebuild one, and the
+	// The oracle must really have been rebuilt from scratch, and the
 	// soak must have exercised both the overlay and the compactor at
 	// least plausibly (the mutator runs the whole time, so the first
 	// post-mutation query pins an overlay).
-	if full, inc := mirror.FreezeStats(); inc != 0 || full < 2 {
-		t.Fatalf("oracle freezes (full=%d, inc=%d): the mirror must rebuild from scratch", full, inc)
+	if full, inc := mirror.FreezeStats(); inc != 0 || full != 1 || generations < 2 {
+		t.Fatalf("oracle freezes (full=%d, inc=%d) over %d generations: each mirror must be one fresh build", full, inc, generations)
 	}
 	st := e.Stats()
 	if st.OverlayReads == 0 {

@@ -254,10 +254,11 @@ type seqSearcher struct {
 	// ext, when non-nil, is a frozen co-reachability table (from a
 	// cross-query cache) used instead of computing coreach.
 	ext *coTable
-	// sc, when non-nil, makes the co-reachability sweep run as a
-	// frontier exchange over the graph's shards (shardbfs.go); counts
-	// receives the per-direction exchange round counts when set.
-	sc     *graph.ShardedCSR
+	// part, when it has K > 1 shards, makes the co-reachability sweep
+	// run as a frontier exchange over the view's row ranges
+	// (shardbfs.go); counts receives the per-direction exchange round
+	// counts when set.
+	part   graph.Partition
 	counts *exchCounters
 	tr     *kernelTrace
 	plan   *seqPlan
@@ -313,7 +314,6 @@ func acquireSeqSearcher(g *graph.Graph, seq *psitr.Sequence, y int, shortest boo
 // non-nil, receives per-direction round counts and round timings; tr,
 // when non-nil, records the per-round trace (trace.go).
 func acquireSeqSearcherView(vw *graph.View, seq *psitr.Sequence, y int, shortest bool, ext *coTable, counts *exchCounters, tr *kernelTrace) *seqSearcher {
-	sc := vw.Sharded()
 	ss := seqSearcherPool.Get().(*seqSearcher)
 	ss.vw = vw
 	ss.n = ss.vw.NumVertices()
@@ -337,11 +337,11 @@ func acquireSeqSearcherView(vw *graph.View, seq *psitr.Sequence, y int, shortest
 	ss.parent = ss.parent[:ss.n]
 	ss.gplabel = ss.gplabel[:ss.n]
 	ss.ext = ext
-	ss.sc = sc
+	ss.part = vw.Partition()
 	ss.counts = counts
 	ss.tr = tr
 	if ext == nil {
-		if sc != nil && sc.NumShards() > 1 {
+		if ss.part.NumShards() > 1 {
 			ss.computeCoReachSharded()
 		} else {
 			ss.computeCoReach()
@@ -356,7 +356,7 @@ func (ss *seqSearcher) release() {
 	ss.units = nil
 	ss.best = nil
 	ss.ext = nil
-	ss.sc = nil
+	ss.part = graph.Partition{}
 	ss.counts = nil
 	ss.tr = nil
 	ss.existsOnly = false
